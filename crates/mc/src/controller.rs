@@ -471,8 +471,14 @@ impl ChannelController {
     /// can change on its own: a data transfer completing, a refresh becoming
     /// due (or, if pending, becoming urgent or issuable), a queued request's
     /// next command becoming timing-legal, or the oldest request crossing
-    /// the starvation threshold. `None` when the controller is fully idle
-    /// and no refresh is pending.
+    /// the starvation threshold. A crossing is an event only while it lies
+    /// in the future: once it has passed, the tick at `now` already ran in
+    /// starvation mode, and only a new oldest entry can change the policy
+    /// again. That takes an issue, after which the driver wakes at
+    /// `now + 1`, or an enqueue into an empty queue, which the driver ticks
+    /// for. Every candidate is strictly after `now`, which debug builds
+    /// assert. `None` when the controller is fully idle and no refresh is
+    /// pending.
     ///
     /// Must be called immediately after a [`ChannelController::tick_into`]
     /// at the same `now` that issued nothing: the scheduling-derived part of
@@ -491,14 +497,21 @@ impl ChannelController {
     /// starvation part looks at each queue's head.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon = EventHorizon::new(now);
+        // Every source below reports a cycle strictly after `now`; a past
+        // candidate would be clamped to `now + 1` and silently turn the
+        // event-driven loop back into a per-cycle one.
+        let mut consider = |t: Cycle| {
+            debug_assert!(t > now, "event candidate {t} is not after now = {now}");
+            horizon.consider(t);
+        };
 
         if self.event_hint != Cycle::MAX {
-            horizon.consider(self.event_hint);
+            consider(self.event_hint);
         }
 
         // Only the earliest in-flight completion can be the next event.
         if let Some(Reverse(inflight)) = self.in_flight.peek() {
-            horizon.consider(inflight.data_complete_at);
+            consider(inflight.data_complete_at);
         }
 
         // Refreshes not yet due wake the scheduler when they become due;
@@ -506,11 +519,11 @@ impl ChannelController {
         if self.refresh_due_min > now {
             // No scheduler is due, so the cached minimum IS the earliest
             // refresh wakeup.
-            horizon.consider(self.refresh_due_min);
+            consider(self.refresh_due_min);
         } else {
             for sched in &self.refresh {
                 if !sched.due(now) {
-                    horizon.consider(sched.next_due());
+                    consider(sched.next_due());
                 }
             }
         }
@@ -518,8 +531,12 @@ impl ChannelController {
         for queue in [&self.read_queue, &self.write_queue] {
             if let Some(oldest) = queue.oldest() {
                 // Crossing the starvation threshold changes the scheduling
-                // policy even when no timing constraint expires.
-                horizon.consider(oldest.request.arrival + self.config.starvation_threshold + 1);
+                // policy even when no timing constraint expires; a crossing
+                // already passed changed it at or before this tick.
+                let crossing = oldest.request.arrival + self.config.starvation_threshold + 1;
+                if crossing > now {
+                    consider(crossing);
+                }
             }
         }
 

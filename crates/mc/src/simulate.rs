@@ -20,8 +20,13 @@ pub use rome_engine::simulate::{
 mod tests {
     use super::*;
     use crate::controller::{ChannelController, ControllerConfig};
+    use crate::mapping::AddressMapping;
+    use crate::request::MemoryRequest;
     use crate::workload;
+    use rome_engine::budget::{RunBudget, RunSink};
+    use rome_hbm::address::{BankAddress, DramAddress};
     use rome_hbm::units::bytes_per_ns_to_gbps;
+    use std::sync::Arc;
 
     #[test]
     fn streaming_read_run_reports_consistent_totals() {
@@ -108,5 +113,35 @@ mod tests {
         let cached = run_with_limit(&mut with_cache, reqs.clone(), 1_000_000);
         let plain = run_with_limit(&mut without, reqs, 1_000_000);
         assert_eq!(cached, plain);
+    }
+
+    #[test]
+    fn starved_queue_does_not_wake_the_driver_every_nanosecond() {
+        // 32 B reads, all arriving at cycle 0, each to a new row of one
+        // bank: every read pays a precharge and an activate, so the head of
+        // the 64-entry queue waits past the 2 µs starvation threshold for
+        // most of the run.
+        let cfg = ControllerConfig::hbm4_baseline();
+        let bank = BankAddress::new(0, 0, 0, 0);
+        let reqs: Vec<_> = (0..512u64)
+            .map(|i| {
+                let at = DramAddress::new(0, bank, i as u32, 0);
+                MemoryRequest::read(i + 1, cfg.mapping.unmap(at).raw(), 32, 0)
+            })
+            .collect();
+
+        let registry = Arc::new(rome_telemetry::Registry::new());
+        let budget = RunBudget::unlimited().with_sink(RunSink::new(registry.clone()));
+        let mut event = ChannelController::new(cfg.clone());
+        let mut stepped = ChannelController::new(cfg.clone());
+        let fast = run_with_budget(&mut event, reqs.clone(), 10_000_000, &budget);
+        let slow = run_with_limit_stepped(&mut stepped, reqs, 10_000_000);
+        assert_eq!(fast, slow);
+        assert_eq!(fast.requests_completed, 512);
+        assert!(event.stats().max_read_latency > cfg.starvation_threshold);
+        // Wake-ups are a deterministic work count. Reporting a passed
+        // starvation crossing as an event again wakes the driver on every
+        // nanosecond once the head is starved: 23,151 wake-ups instead.
+        assert_eq!(registry.counter("engine.events").get(), 4_432);
     }
 }

@@ -25,6 +25,14 @@
 //! per-channel wakeups, lazy min-heap, skipped non-due channels), so a
 //! wakeup cached one cycle too late — a missed event — would surface as a
 //! completion mismatch here.
+//!
+//! The closed-loop comparisons pin the source-driven multi-channel path
+//! (`MemorySystem::run_with_source`, which merges the source's next arrival
+//! into the event horizon) against a per-cycle pull/submit/tick/feed-back
+//! loop. Closed-loop requests keep their source arrival, so their fragments
+//! sit in the queues already past the starvation threshold and both runs
+//! spend most of their time in starvation mode; an event the source-driven
+//! loop misses there surfaces as a mismatch here.
 
 use rome::core::controller::{RomeController, RomeControllerConfig};
 use rome::core::simulate as rome_simulate;
@@ -35,6 +43,11 @@ use rome::mc::request::MemoryRequest;
 use rome::mc::simulate as mc_simulate;
 use rome::mc::system::{HostCompletion, MemorySystem, MemorySystemConfig};
 use rome::mc::workload;
+use rome::mc::ControllerStats;
+use rome::workload::{
+    ClosedLoopHost, MoeRoutingConfig, MoeRoutingSource, PrefillDecodeConfig,
+    PrefillDecodeInterleaveSource, TrafficSource,
+};
 
 /// The workload set exercised on both systems: streaming reads, streaming
 /// writes, uniformly random reads, and a read/write mix.
@@ -521,4 +534,128 @@ fn refresh_heavy_idle_windows_stay_equivalent() {
         2_000_000,
         "refresh-idle",
     );
+}
+
+/// The statistics that count events, not ticks: the per-tick fields differ
+/// by design between an event-driven and a per-cycle driver (see
+/// `ControllerStats`), so they are zeroed before comparing.
+fn event_counts(stats: ControllerStats) -> ControllerStats {
+    ControllerStats {
+        stall_cycles: 0,
+        idle_cycles: 0,
+        total_cycles: 0,
+        mean_queue_occupancy: 0.0,
+        ..stats
+    }
+}
+
+/// Serve `make_source()` through a window-16 `ClosedLoopHost` on a 4-channel
+/// HBM4 system twice: through `MemorySystem::run_with_source` (event
+/// calendar and SoA scans on), and through a per-cycle loop with both off
+/// that pulls, submits, ticks and feeds completions back every nanosecond,
+/// in the order `run_with_source` does. Completions, controller statistics
+/// and the host's own figures must be bit-identical. Returns the statistics.
+fn assert_closed_loop_equivalent<S: TrafficSource>(
+    make_source: impl Fn() -> S,
+    label: &str,
+) -> ControllerStats {
+    const WINDOW: usize = 16;
+    const MAX_NS: u64 = 50_000_000;
+
+    let mut event = MemorySystem::new(MemorySystemConfig::hbm4(4));
+    let mut event_host = ClosedLoopHost::new(make_source(), WINDOW);
+    let (done_event, _) = event.run_with_source(&mut event_host, MAX_NS);
+
+    let mut stepped = MemorySystem::new(MemorySystemConfig::hbm4(4));
+    stepped.set_calendar(false);
+    stepped.set_soa(false);
+    let mut stepped_host = ClosedLoopHost::new(make_source(), WINDOW);
+    let mut done_stepped: Vec<HostCompletion> = Vec::new();
+    let mut pulled = Vec::new();
+    let mut now = 0u64;
+    loop {
+        stepped_host.pull_into(now, &mut pulled);
+        for req in pulled.drain(..) {
+            stepped.submit(req);
+        }
+        if (stepped_host.is_exhausted() && stepped.is_idle()) || now >= MAX_NS {
+            break;
+        }
+        let before = done_stepped.len();
+        stepped.tick_into(now, &mut done_stepped);
+        for c in &done_stepped[before..] {
+            stepped_host.on_completion(c);
+        }
+        now += 1;
+    }
+
+    assert!(stepped_host.is_exhausted(), "{label}: run did not drain");
+    // The run exercises starvation: some request waited past the threshold.
+    let threshold = MemorySystemConfig::hbm4(4).controller.starvation_threshold;
+    assert!(
+        done_stepped
+            .iter()
+            .any(|c| c.completed - c.arrival > threshold),
+        "{label}: no request was starved"
+    );
+    assert_eq!(done_event, done_stepped, "{label}: completions diverged");
+    assert_eq!(
+        event_counts(event.stats()),
+        event_counts(stepped.stats()),
+        "{label}: controller statistics diverged"
+    );
+    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+    assert_eq!(event_host.injected(), stepped_host.injected());
+    assert_eq!(event_host.completed(), stepped_host.completed());
+    assert_eq!(event_host.completed_bytes(), stepped_host.completed_bytes());
+    assert_eq!(event_host.mean_latency_ns(), stepped_host.mean_latency_ns());
+    assert_eq!(event_host.max_latency_ns(), stepped_host.max_latency_ns());
+    event.stats()
+}
+
+#[test]
+fn closed_loop_moe_source_is_bit_identical_to_per_cycle_ticks() {
+    assert_closed_loop_equivalent(
+        || {
+            MoeRoutingSource::new(MoeRoutingConfig {
+                experts: 16,
+                top_k: 2,
+                expert_bytes: 6144,
+                layers: 2,
+                tokens_per_step: 8,
+                steps: 2,
+                step_period_ns: 0,
+                granularity: 32,
+                base: 1 << 30,
+                zipf_exponent: 1.0,
+                seed: 0x4d6f45,
+            })
+        },
+        "moe",
+    );
+}
+
+#[test]
+fn closed_loop_prefill_decode_with_kv_write_back_is_bit_identical_to_per_cycle_ticks() {
+    let stats = assert_closed_loop_equivalent(
+        || {
+            PrefillDecodeInterleaveSource::new(PrefillDecodeConfig {
+                prefill_bytes: 32 * 1024,
+                prefill_granularity: 32,
+                decode_bytes: 8 * 1024,
+                decode_granularity: 32,
+                decode_steps_per_prefill: 2,
+                rounds: 2,
+                phase_period_ns: 2_000,
+                weight_base: 0,
+                weight_span: 1 << 20,
+                kv_base: 1 << 32,
+                kv_span: 1 << 20,
+                kv_write_period: 4,
+                seed: 0x5e12f,
+            })
+        },
+        "prefill/decode + kv write-back",
+    );
+    assert!(stats.bytes_written > 0, "no KV write-back was served");
 }
