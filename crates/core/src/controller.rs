@@ -160,10 +160,9 @@ pub struct RomeController {
     vba_busy_until: Vec<Cycle>,
     refresh: Vec<VbaRefreshScheduler>,
     /// Cached minimum of the pooled refresh schedulers' `next_due` cycles,
-    /// updated only on acknowledge. See
-    /// `rome_mc::ChannelController::refresh_due_min` for the invalidation
-    /// argument; the fallback scan runs only while a due refresh waits for
-    /// its VBA.
+    /// updated only on acknowledge, the sole mutation that moves a due
+    /// time. The fallback scan runs only while a due refresh waits for its
+    /// VBA.
     refresh_due_min: Cycle,
     last_issue: Option<LastIssue>,
     stats: RomeStats,

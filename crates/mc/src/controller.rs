@@ -166,13 +166,27 @@ pub struct ChannelController {
     /// Issue sequence counter feeding [`InFlight::seq`].
     inflight_seq: u64,
     refresh: Vec<RefreshScheduler>,
-    /// Cached minimum of the refresh schedulers' `next_due` cycles, updated
-    /// only when a refresh is acknowledged (the sole mutation that moves a
-    /// due time). While it lies in the future it answers the refresh part of
-    /// [`ChannelController::next_event_at`] with one comparison; once it is
-    /// in the past (a refresh is due but postponed) the query falls back to
-    /// the per-rank scan, which is the pre-calendar behaviour.
-    refresh_due_min: Cycle,
+    /// Per-rank refresh park bound: a tick evaluates a rank's refresh only
+    /// once its bound has arrived. The bound is the rank's `next_due` while
+    /// no refresh is due, or while the due one must be evaluated every tick
+    /// (it waits on REF timing or is urgent). It is the rank's `urgent_at`
+    /// while a due per-bank refresh is postponed because its probe bank has
+    /// queued work or an open row: re-evaluating it before then would only
+    /// postpone it again and hint `urgent_at`. Only closing the probe bank's
+    /// row can end a postponement early: a queue removal on the bank comes
+    /// from a column command, which needs the row open, and an open row
+    /// keeps the refresh postponed by itself. Enqueues only add work for the
+    /// bank, an ACT needs queued work for it, and the probe bank moves only
+    /// on the rank's own acknowledge. So
+    /// [`ChannelController::clear_open_row`] is the one unpark point
+    /// ([`ChannelController::unpark_refresh`] resets the bound to
+    /// `next_due`); it runs on issuing ticks, after which the driver
+    /// re-ticks at `now + 1` anyway. All-bank refreshes are never parked.
+    refresh_park: Vec<Cycle>,
+    /// Minimum of `refresh_park`. While it lies in the future no rank needs
+    /// evaluating, and it answers the refresh part of
+    /// [`ChannelController::next_event_at`] with one comparison.
+    refresh_park_min: Cycle,
     /// The controller's own per-bank state logic: open row per bank, indexed
     /// by the flat bank index.
     open_rows: Vec<Option<u32>>,
@@ -235,11 +249,8 @@ impl ChannelController {
         let refresh: Vec<RefreshScheduler> = (0..ranks)
             .map(|_| RefreshScheduler::new(config.refresh_mode, &config.timing, banks_per_rank))
             .collect();
-        let refresh_due_min = refresh
-            .iter()
-            .map(RefreshScheduler::next_due)
-            .min()
-            .unwrap_or(Cycle::MAX);
+        let refresh_park: Vec<Cycle> = refresh.iter().map(RefreshScheduler::next_due).collect();
+        let refresh_park_min = refresh_park.iter().copied().min().unwrap_or(Cycle::MAX);
         let indexer = BankIndexer::new(&org);
         let banks = org.banks_per_channel() as usize;
         ChannelController {
@@ -248,7 +259,8 @@ impl ChannelController {
             in_flight: BinaryHeap::new(),
             inflight_seq: 0,
             refresh,
-            refresh_due_min,
+            refresh_park,
+            refresh_park_min,
             open_rows: vec![None; banks],
             open_mask: vec![0; banks.div_ceil(64)],
             pre_ready: vec![0; banks],
@@ -293,13 +305,37 @@ impl ChannelController {
         self.write_queue.note_act(idx, row);
     }
 
-    /// Clear the open row in `open_rows` and the row-open mask.
+    /// Clear the open row in `open_rows` and the row-open mask. Closing a
+    /// bank's row can end a postponed refresh of it, so this is the unpark
+    /// point (see `refresh_park`).
     #[inline]
     fn clear_open_row(&mut self, idx: usize) {
         self.open_rows[idx] = None;
         self.open_mask[idx >> 6] &= !(1 << (idx & 63));
         self.read_queue.note_pre(idx);
         self.write_queue.note_pre(idx);
+        self.unpark_refresh(idx);
+    }
+
+    /// Flat index of the bank the next per-bank refresh of `rank` targets.
+    /// The rotation advances only when the rank's refresh is acknowledged.
+    #[inline]
+    fn refresh_probe(&self, rank: usize) -> usize {
+        let per_rank = self.indexer.banks_per_rank();
+        rank * per_rank + (self.refresh[rank].issued() % per_rank as u64) as usize
+    }
+
+    /// Re-arm the refresh evaluation of the rank owning bank `idx` if that
+    /// rank is parked on a postponed refresh of this very bank, whose row
+    /// just closed (see `refresh_park`).
+    #[inline]
+    fn unpark_refresh(&mut self, idx: usize) {
+        let rank = self.indexer.rank_of(idx);
+        let due = self.refresh[rank].next_due();
+        if self.refresh_park[rank] > due && idx == self.refresh_probe(rank) {
+            self.refresh_park[rank] = due;
+            self.refresh_park_min = self.refresh_park_min.min(due);
+        }
     }
 
     /// Record the close of a bank's row-open window — ACT at `act_at[idx]`,
@@ -492,9 +528,9 @@ impl ChannelController {
     ///
     /// The query is O(1) on the hot path: the scheduler's part is the
     /// accumulated `event_hint`, the in-flight part is a heap peek, the
-    /// refresh part is the cached minimum refresh due time (with an
-    /// O(ranks) fallback only while a due refresh is postponed), and the
-    /// starvation part looks at each queue's head.
+    /// refresh part is the cached minimum park bound (with an O(ranks)
+    /// fallback only while some rank's refresh is evaluated every tick),
+    /// and the starvation part looks at each queue's head.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon = EventHorizon::new(now);
         // Every source below reports a cycle strictly after `now`; a past
@@ -514,16 +550,16 @@ impl ChannelController {
             consider(inflight.data_complete_at);
         }
 
-        // Refreshes not yet due wake the scheduler when they become due;
-        // pending ones already recorded their issuability into the hint.
-        if self.refresh_due_min > now {
-            // No scheduler is due, so the cached minimum IS the earliest
-            // refresh wakeup.
-            consider(self.refresh_due_min);
+        // A parked rank wakes the scheduler at its bound: its refresh
+        // becoming due, or its postponed refresh becoming urgent. Ranks
+        // evaluated this tick already recorded their issuability into the
+        // hint.
+        if self.refresh_park_min > now {
+            consider(self.refresh_park_min);
         } else {
-            for sched in &self.refresh {
-                if !sched.due(now) {
-                    consider(sched.next_due());
+            for &bound in &self.refresh_park {
+                if bound > now {
+                    consider(bound);
                 }
             }
         }
@@ -541,17 +577,6 @@ impl ChannelController {
         }
 
         horizon.earliest()
-    }
-
-    /// Refresh the cached minimum refresh due time after an acknowledge
-    /// moved one scheduler's `next_due` forward.
-    fn note_refresh_acknowledged(&mut self) {
-        self.refresh_due_min = self
-            .refresh
-            .iter()
-            .map(RefreshScheduler::next_due)
-            .min()
-            .unwrap_or(Cycle::MAX);
     }
 
     /// Record a future cycle at which a command the scheduler wanted this
@@ -624,19 +649,36 @@ impl ChannelController {
     }
 
     fn try_issue_refresh(&mut self, now: Cycle) -> bool {
-        // O(1) fast path: `refresh_due_min` caches the earliest `next_due`
-        // across ranks, so one comparison answers "is any rank due?". When
-        // none is, the rank scan below is a pure no-op.
-        if self.refresh_due_min > now {
+        // O(1) fast path: `refresh_park_min` caches the earliest park bound
+        // across ranks, so one comparison answers "does any rank need
+        // evaluating?". When none does, the rank scan is a pure no-op.
+        if self.refresh_park_min > now {
             return false;
         }
+        let issued = self.issue_due_refresh(now);
+        self.refresh_park_min = self
+            .refresh_park
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(Cycle::MAX);
+        issued
+    }
+
+    /// Evaluate every rank whose park bound has arrived, in rank order, and
+    /// issue the first refresh-related command that is legal (REF, or the
+    /// PRE an urgent refresh needs). Updates the visited ranks' park bounds;
+    /// the caller recomputes their minimum.
+    fn issue_due_refresh(&mut self, now: Cycle) -> bool {
         let org = self.config.organization;
         for pc in 0..org.pseudo_channels {
             for sid in 0..org.stack_ids {
                 let rank = self.rank_index(BankAddress::new(pc, sid, 0, 0));
-                if !self.refresh[rank].due(now) {
+                if self.refresh_park[rank] > now {
                     continue;
                 }
+                // A bound is `next_due` or the later `urgent_at`.
+                debug_assert!(self.refresh[rank].due(now));
                 let urgent = self.refresh[rank].urgent(now);
                 match self.config.refresh_mode {
                     RefreshMode::PerBank => {
@@ -653,6 +695,7 @@ impl ChannelController {
                         // postponing REFs based on each bank's state").
                         if !urgent {
                             let probe_addr = rome_hbm::address::DramAddress {
+                                // ROADMAP gap: channels 1..N-1 never postpone for pending work.
                                 channel: 0,
                                 bank,
                                 row: 0,
@@ -661,9 +704,10 @@ impl ChannelController {
                             if self.read_queue.has_pending_for_bank(probe_addr)
                                 || self.write_queue.has_pending_for_bank(probe_addr)
                             {
-                                // Postponed until the bank drains or the
-                                // refresh becomes urgent.
-                                self.hint_event(self.refresh[rank].urgent_at());
+                                // Postponed until the bank drains and its
+                                // row closes, or the refresh becomes
+                                // urgent: park the rank.
+                                self.refresh_park[rank] = self.refresh[rank].urgent_at();
                                 continue;
                             }
                         }
@@ -684,7 +728,9 @@ impl ChannelController {
                                 }
                                 self.hint_event(self.channel.earliest_issue(&pre, now + 1));
                             } else {
-                                self.hint_event(self.refresh[rank].urgent_at());
+                                // Postponed until the row closes or the
+                                // refresh becomes urgent: park the rank.
+                                self.refresh_park[rank] = self.refresh[rank].urgent_at();
                             }
                             continue;
                         }
@@ -692,7 +738,7 @@ impl ChannelController {
                         if self.channel.can_issue(&refpb, now) {
                             self.channel.issue(refpb, now).expect("checked");
                             self.refresh[rank].acknowledge(now);
-                            self.note_refresh_acknowledged();
+                            self.refresh_park[rank] = self.refresh[rank].next_due();
                             self.stats.refreshes_issued += 1;
                             if self.trace.commands() {
                                 self.trace.record(TraceEvent {
@@ -746,7 +792,7 @@ impl ChannelController {
                         if self.channel.can_issue(&refab, now) {
                             self.channel.issue(refab, now).expect("checked");
                             self.refresh[rank].acknowledge(now);
-                            self.note_refresh_acknowledged();
+                            self.refresh_park[rank] = self.refresh[rank].next_due();
                             self.stats.refreshes_issued += 1;
                             if self.trace.commands() {
                                 let base = self.bank_index(BankAddress::new(pc, sid, 0, 0));
@@ -1784,19 +1830,66 @@ mod tests {
         }
     }
 
+    /// From-scratch check of the refresh park bounds after the tick at
+    /// `now`: every rank whose bound lies in the future would, evaluated
+    /// from scratch, issue nothing and hint exactly its bound — its refresh
+    /// is not due yet and the bound is `next_due`, or it is a per-bank
+    /// refresh postponed for its probe bank's queued work or open row and
+    /// the bound is `urgent_at`. The cached minimum matches a recount.
+    fn assert_park_invariants(ctrl: &ChannelController, now: Cycle) {
+        let per_rank = ctrl.indexer.banks_per_rank();
+        for (rank, (&bound, sched)) in ctrl.refresh_park.iter().zip(&ctrl.refresh).enumerate() {
+            assert!(bound == sched.next_due() || bound == sched.urgent_at());
+            if bound <= now {
+                continue;
+            }
+            if !sched.due(now) {
+                assert_eq!(bound, sched.next_due(), "rank {rank}: not due");
+                continue;
+            }
+            assert_eq!(ctrl.config.refresh_mode, RefreshMode::PerBank);
+            assert!(!sched.urgent(now), "rank {rank}: parked past urgency");
+            assert_eq!(bound, sched.urgent_at(), "rank {rank}: parked bound");
+            let probe = rank * per_rank + (sched.issued() % per_rank as u64) as usize;
+            let pending = ctrl
+                .read_queue
+                .iter()
+                .chain(ctrl.write_queue.iter())
+                .any(|e| ctrl.indexer.flat(e.dram.bank) == probe && e.dram.channel == 0);
+            assert!(
+                pending || ctrl.open_rows[probe].is_some(),
+                "rank {rank}: parked at {bound} but its refresh is issuable at {now}"
+            );
+        }
+        let min = ctrl
+            .refresh_park
+            .iter()
+            .copied()
+            .min()
+            .unwrap_or(Cycle::MAX);
+        assert_eq!(ctrl.refresh_park_min, min, "cached park minimum diverged");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Random enqueue/issue/refresh sequences: after every tick, every
         /// bitmask the SoA scans consult must match a from-scratch per-bank
-        /// recount, and the SoA and oracle controllers must stay in lockstep.
+        /// recount, every parked refresh must be one a from-scratch
+        /// evaluation would postpone, and the SoA and oracle controllers
+        /// must stay in lockstep. `channel` plays controller 0 or 1 of a
+        /// multi-channel system (its entries carry that DRAM channel), and
+        /// the page policy varies which commands close rows.
         #[test]
         fn bitmasks_match_a_from_scratch_per_bank_oracle(
-            ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..12), 1..32),
+            ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..24), 1..256),
             refresh_mode in prop::sample::select(vec![RefreshMode::PerBank, RefreshMode::AllBank]),
+            channel in 0u16..2,
+            page_policy in prop::sample::select(vec![PagePolicy::Open, PagePolicy::Closed, PagePolicy::Adaptive]),
         ) {
             let mut cfg = ControllerConfig::hbm4_with_queue_depth(32);
             cfg.refresh_mode = refresh_mode;
+            cfg.page_policy = page_policy;
             let mut soa = ChannelController::new(cfg.clone());
             let mut cfg_plain = cfg;
             cfg_plain.soa = false;
@@ -1811,12 +1904,16 @@ mod tests {
                 } else {
                     MemoryRequest::read(i as u64 + 1, addr, 32, now)
                 };
-                prop_assert_eq!(soa.enqueue(req), plain.enqueue(req));
+                let mut entry = QueueEntry { request: req, dram: soa.config.mapping.map(req.address) };
+                entry.dram.channel = channel;
+                prop_assert_eq!(soa.enqueue_mapped(entry), plain.enqueue_mapped(entry));
                 for _ in 0..=gap {
                     done_soa.extend(soa.tick(now));
                     done_plain.extend(plain.tick(now));
                     assert_mask_invariants(&soa);
                     assert_mask_invariants(&plain);
+                    assert_park_invariants(&soa, now);
+                    assert_park_invariants(&plain, now);
                     now += 1;
                 }
             }
@@ -1831,6 +1928,8 @@ mod tests {
                 done_plain.extend(plain.tick(now));
                 assert_mask_invariants(&soa);
                 assert_mask_invariants(&plain);
+                assert_park_invariants(&soa, now);
+                assert_park_invariants(&plain, now);
                 now += 1;
             }
             prop_assert_eq!(done_soa, done_plain);

@@ -90,6 +90,12 @@ impl BankIndexer {
         flat / self.per_sid as usize
     }
 
+    /// Number of banks in one rank.
+    #[inline]
+    pub fn banks_per_rank(&self) -> usize {
+        self.per_sid as usize
+    }
+
     /// Number of ranks in the channel.
     #[inline]
     pub fn ranks(&self) -> usize {

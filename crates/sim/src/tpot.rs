@@ -17,7 +17,7 @@ use rome_llm::traffic::StepTraffic;
 use rome_llm::types::Stage;
 
 use crate::accelerator::{AcceleratorSpec, ServerSpec};
-use crate::lbr::{channel_load_balance, operator_lbr, LbrReport};
+use crate::lbr::{lbr_report, operator_lbr, LbrReport};
 use crate::memory_model::MemoryModel;
 
 /// The timing result of one decode step (or prefill pass).
@@ -53,10 +53,15 @@ fn step_time(
     par: &Parallelism,
     model: &ModelConfig,
 ) -> TpotReport {
+    // Each operator's LBR feeds both its memory time and the step's report.
+    let lbrs: Vec<f64> = step
+        .operators
+        .iter()
+        .map(|op| operator_lbr(op, mem.channels, mem.access_granularity))
+        .collect();
     let mut memory_bound_ns = 0.0;
     let mut compute_bound_ns = 0.0;
-    for op in &step.operators {
-        let lbr = operator_lbr(op, mem.channels, mem.access_granularity);
+    for (op, &lbr) in step.operators.iter().zip(&lbrs) {
         let bw = mem.effective_bandwidth_gbps(lbr);
         let mem_ns = op.bytes() as f64 / bw;
         let comp_ns = accel.compute_time_ns(op.flops);
@@ -101,7 +106,7 @@ fn step_time(
         memory_bound_ms: memory_bound_ns / 1e6,
         compute_bound_ms: compute_bound_ns / 1e6,
         communication_ms: comm_ns / 1e6,
-        lbr: channel_load_balance(step, mem.channels, mem.access_granularity),
+        lbr: lbr_report(&step.operators, |i| lbrs[i]),
     }
 }
 

@@ -659,3 +659,57 @@ fn closed_loop_prefill_decode_with_kv_write_back_is_bit_identical_to_per_cycle_t
     );
     assert!(stats.bytes_written > 0, "no KV write-back was served");
 }
+
+#[test]
+fn postponed_refreshes_park_and_unpark_identically_on_conflicting_multi_channel_traffic() {
+    // Scattered 32 B reads and writes (every fourth a write) over 16 MiB: the
+    // queues fill with row conflicts on every bank, so due per-bank
+    // refreshes are postponed behind queued work or open rows (the rank
+    // parks), and end their postponement when a column issue drains the
+    // probe bank or a PRE closes it (the rank unparks). The idle tail leaves
+    // rows open, which forces urgent PREs ahead of the REFpbs. The
+    // event-driven system (calendar and SoA scans on) must match the
+    // per-cycle loop with both off, completion for completion.
+    const UNTIL: u64 = 60_000;
+    let mut stepped = MemorySystem::new(MemorySystemConfig::hbm4(2));
+    stepped.set_calendar(false);
+    stepped.set_soa(false);
+    let mut event = MemorySystem::new(MemorySystemConfig::hbm4(2));
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in 0..8_192u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let addr = (x % (16 << 20)) & !31;
+        let r = if i % 4 == 3 {
+            MemoryRequest::write(i + 1, addr, 32, 0)
+        } else {
+            MemoryRequest::read(i + 1, addr, 32, 0)
+        };
+        stepped.submit(r);
+        event.submit(r);
+    }
+
+    let mut done_stepped = Vec::new();
+    for now in 0..UNTIL {
+        done_stepped.extend(stepped.tick(now));
+    }
+    let mut done_event: Vec<HostCompletion> = Vec::new();
+    let mut now = 0u64;
+    while now < UNTIL {
+        let issued = event.tick_into(now, &mut done_event);
+        now = if issued {
+            now + 1
+        } else {
+            event.next_event_at(now).map_or(UNTIL, |t| t.max(now + 1))
+        };
+    }
+
+    assert_eq!(done_event.len(), 8_192);
+    // The traffic lasts over 20 µs, so refreshes come due throughout it.
+    assert!(done_event.iter().any(|c| c.completed > 20_000));
+    assert_eq!(done_event, done_stepped);
+    assert_eq!(event_counts(event.stats()), event_counts(stepped.stats()));
+    assert!(event.stats().refreshes_issued > 0);
+    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+}
